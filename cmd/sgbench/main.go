@@ -85,7 +85,7 @@ func main() {
 		expTol      = flag.Float64("experiment-tolerance", 0.20, "with -experiment-baseline: allowed fractional regression")
 		expWrite    = flag.Bool("experiment-write-baseline", false, "with -experiment: double the measured phase costs and write them as a baseline")
 
-		storeMode     = flag.Bool("store-experiment", false, "store head-to-head mode: race every graph store (and the adaptive store with live migration) on the adversarial workloads")
+		storeMode     = flag.Bool("store-experiment", false, "store head-to-head mode: race the adjacency, dah and tango stores on the adversarial workloads")
 		storeOut      = flag.String("store-out", "BENCH_storecmp.json", "with -store-experiment: write the JSON report here")
 		storeBaseline = flag.String("store-baseline", "", "with -store-experiment: fail on per-phase ns/edge regression vs this baseline file")
 		storeTol      = flag.Float64("store-tolerance", 0.20, "with -store-baseline: allowed fractional regression")
@@ -311,11 +311,11 @@ func runTrajectory(out, baselinePath string, tolerance float64, writeBaseline, q
 	return 0
 }
 
-// runStoreCompare is the store head-to-head entry point: race every
-// store (plus the adaptive store under live migration) on the
-// adversarial workloads through the shared Mutable ingestion path,
-// write the trajectory-schema report, and (when a baseline is given)
-// gate per-phase ns/edge against it.
+// runStoreCompare is the store head-to-head entry point: race the
+// adjacency, dah and tango stores on the adversarial workloads through
+// the shared Mutable ingestion path, write the trajectory-schema
+// report, and (when a baseline is given) gate per-phase ns/edge
+// against it.
 func runStoreCompare(out, baselinePath string, tolerance float64, writeBaseline, quick bool) int {
 	res, err := bench.RunStoreCompare(quick)
 	if err != nil {

@@ -14,11 +14,6 @@
 // model's estimate of the alternative, and a cumulative regret
 // summary.
 //
-// With -stores it replays the stream through the adaptive store under
-// the default migration policy, printing each batch's observed profile
-// (delete ratio, degree skew, CAD_λ), the representation in effect,
-// live migration events, and the final per-tier census.
-//
 // With -shards N it replays the stream through an N-shard router
 // (consistent hashing, mirrored cross-shard edges, dynamic
 // repartitioning), printing each batch's per-shard routing split, any
@@ -28,7 +23,6 @@
 //
 //	sginspect -dataset wiki -batch 10000 -batches 8
 //	sginspect -dataset wiki -batch 10000 -batches 8 -decisions
-//	sginspect -dataset wiki -batch 10000 -batches 8 -stores
 //	sginspect -dataset wiki -batch 10000 -batches 8 -shards 4
 //	sggen -dataset lj -edges 500000 | sginspect -stdin -batch 100000
 package main
@@ -57,8 +51,6 @@ func main() {
 
 		decisions = flag.Bool("decisions", false, "run the real ABR+USC pipeline and print the decision audit with regret summary")
 		workers   = flag.Int("workers", 0, "with -decisions: worker goroutines (0 = GOMAXPROCS)")
-		stores    = flag.Bool("stores", false, "replay the stream through the adaptive store and print its migration decisions and per-tier census")
-		storeFrom = flag.String("store", "adjacency", "with -stores: initial representation (adjacency|dah|hybrid|tango)")
 		nShards   = flag.Int("shards", 0, "replay the stream through this many consistent-hash shards and print per-shard routing, repartition events, and the ownership census")
 	)
 	flag.Parse()
@@ -90,9 +82,6 @@ func main() {
 	if *decisions {
 		os.Exit(runDecisions(next, *workers))
 	}
-	if *stores {
-		os.Exit(runStores(next, *storeFrom))
-	}
 	if *nShards > 0 {
 		os.Exit(runShards(next, *nShards))
 	}
@@ -114,48 +103,6 @@ func main() {
 		fmt.Printf("%-8d %10d %10d %10d %12.1f %10.2f %s\n",
 			b.ID, b.Size(), maxOut, maxIn, cad, abr.MeanDegree(h), decision)
 	}
-}
-
-// runStores replays the stream through an AdaptiveStore under the
-// default migration policy and prints, per batch, the observed input
-// profile, the representation in effect, and any migration the
-// controller started or finished — the store-side counterpart of the
-// static CAD characterization.
-func runStores(next func() (*graph.Batch, bool), from string) int {
-	kind, err := graph.ParseStoreKind(from)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sginspect:", err)
-		return 2
-	}
-	st := graph.NewAdaptiveStore(kind, 0, graph.AdaptiveOptions{})
-	fmt.Printf("%-8s %10s %8s %8s %10s %-10s %s\n",
-		"batch", "edges", "del%", "skew", "CAD", "rep", "event")
-	for {
-		b, ok := next()
-		if !ok {
-			break
-		}
-		p := graph.ProfileBatch(b, graph.DefaultProfileLambda)
-		before, migBefore := st.Kind(), st.Migrations()
-		st.ApplyBatchObserved(b, p, nil)
-		event := ""
-		if to, inFlight := st.Migrating(); inFlight {
-			event = "migrating -> " + to.String()
-		} else if st.Migrations() > migBefore {
-			event = "swapped " + before.String() + " -> " + st.Kind().String()
-		}
-		fmt.Printf("%-8d %10d %7.1f%% %8.4f %10.1f %-10s %s\n",
-			b.ID, p.Edges, p.DeleteRatio*100, p.DegreeSkew, p.CAD,
-			st.Kind(), event)
-	}
-	rep := st.Report()
-	fmt.Printf("\nfinal: rep=%s vertices=%d edges=%d migrations=%d\n",
-		rep.Kind, rep.Vertices, rep.Edges, rep.Migrations)
-	if rep.Census != nil {
-		fmt.Printf("tango census: inline=%d sorted=%d hash=%d transitions=%d\n",
-			rep.Census.Inline, rep.Census.Sorted, rep.Census.Hash, rep.Census.Transitions)
-	}
-	return 0
 }
 
 // stdinBatches cuts the sggen TSV on stdin into batches.

@@ -15,8 +15,7 @@ import (
 // routed to each shard (cross-shard edges are mirrored, so the row sum
 // can exceed the batch size), plus any hot-range migration the
 // repartitioner performed. The final census reports each shard's
-// routed totals and current ownership — the cluster-side counterpart
-// of the -stores migration trace.
+// routed totals and current ownership.
 func runShards(next func() (*graph.Batch, bool), n int) int {
 	if n < 1 {
 		fmt.Fprintln(os.Stderr, "sginspect: -shards must be >= 1")

@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"streamgraph"
-	"streamgraph/internal/graph"
 	"streamgraph/internal/obs"
 	"streamgraph/internal/server"
 )
@@ -72,7 +71,6 @@ func main() {
 		faultSeed    = flag.Int64("fault-seed", 1, "fault jitter seed (with -fault)")
 		maxEdges     = flag.Int("max-batch-edges", 1<<20, "reject larger batches with 400")
 		maxVertex    = flag.Uint("max-vertex", 1<<26, "reject batches naming vertex IDs above this with 400")
-		shadowStore  = flag.String("store-shadow", "", "attach an adaptive store replica starting in this representation (adjacency|dah|hybrid|tango); reported as storeShadow in /metrics.json")
 		lockFree     = flag.Bool("lockfree", false, "serve from the epoch store: wait-free /neighbors snapshot reads concurrent with ingest")
 		shards       = flag.Int("shards", 1, "partition the vertex space across this many pipeline instances (consistent hashing, mirrored cross-shard edges, dynamic repartitioning); reported as shards in /metrics.json")
 	)
@@ -116,14 +114,8 @@ func main() {
 		log.Printf("sgserve: span log → %s", *spanLog)
 	}
 
-	if *shadowStore != "" {
-		if _, err := graph.ParseStoreKind(*shadowStore); err != nil {
-			log.Fatalf("sgserve: -store-shadow: %v", err)
-		}
-	}
-
-	if *shards > 1 && (*lockFree || *shadowStore != "") {
-		log.Fatalf("sgserve: -shards > 1 is incompatible with -lockfree and -store-shadow")
+	if *shards > 1 && *lockFree {
+		log.Fatalf("sgserve: -shards > 1 is incompatible with -lockfree")
 	}
 
 	spec, ok := streamgraph.FaultProfile(*faultProfile, *faultSeed)
@@ -150,14 +142,10 @@ func main() {
 		Shed:       shed,
 		// A serving process recovers pipeline panics into 503s (with
 		// the batch not counted) instead of dying mid-stream.
-		Recover:     true,
-		ShadowStore: *shadowStore,
-		LockFree:    *lockFree,
-		Shards:      *shards,
+		Recover:  true,
+		LockFree: *lockFree,
+		Shards:   *shards,
 	})
-	if *shadowStore != "" {
-		log.Printf("sgserve: adaptive store shadow ON, starting as %s", *shadowStore)
-	}
 	if *lockFree {
 		log.Printf("sgserve: lock-free epoch store ON (wait-free snapshot reads)")
 	}

@@ -243,28 +243,9 @@ func runAblDAH(cfg Config) []Table {
 		return time.Since(start)
 	}()
 
-	hybridTime := func() time.Duration {
-		start := time.Now()
-		s := graph.NewHybridStore(p.Vertices)
-		for i, b := range batches {
-			for _, e := range b.Edges {
-				if e.Delete {
-					s.DeleteEdge(e.Src, e.Dst)
-				} else {
-					s.InsertEdge(e)
-				}
-			}
-			if i%2 == 1 {
-				s.Compact()
-			}
-		}
-		return time.Since(start)
-	}()
-
 	t.AddRow("AS (adjacency list, baseline)", asTime.String(), fi(asCmp))
 	t.AddRow("DAH (degree-aware hashing)", dahTime.String(), "O(1) probes per edge")
 	t.AddRow("AS + RO + USC", uscTime.String(), fi(uscCmp)+" (incl. hash ops)")
-	t.AddRow("Hybrid (GraphOne-style archive+delta)", hybridTime.String(), "archive scan + delta probe")
 	t.Notes = append(t.Notes,
 		"paper (wiki-100K, multicore): DAH 1.95x over AS; AS+RO 1.8x; AS+RO+USC 2.1x — reordering+USC lets one data structure match the specialized one",
 		"on this single-core host the wall times exclude lock effects and RO's sort is a pure cost; the search-comparison column shows the work-efficiency that drives the paper's multicore result")

@@ -16,8 +16,7 @@ import (
 
 // The store head-to-head (sgbench -store-experiment) races every graph
 // store over the adversarial workload families through the sequential
-// Mutable ingestion path — the path all stores share — plus the
-// adaptive store with its live migration controller enabled. It reuses
+// Mutable ingestion path — the path all stores share. It reuses
 // the trajectory schema (TrajectoryResult, version-gated by the same
 // comparator), so BENCH_store.json is gated in CI exactly like the
 // engine trajectory: per-phase ns/edge against a committed, doubled
@@ -29,16 +28,13 @@ import (
 // only variable.
 const storeCmpEngine = "mutable"
 
-// storeCmpStores is the fixed-representation field. The adaptive store
-// runs separately (storeRunAdaptive) because it needs the observed
-// profile, not just batches.
+// storeCmpStores are the stores raced in the head-to-head.
 var storeCmpStores = []struct {
 	store string
 	mk    func(n int) graph.Mutable
 }{
 	{"adjacency", func(n int) graph.Mutable { return graph.NewAdjacencyStore(n) }},
 	{"dah", func(n int) graph.Mutable { return graph.NewDAHStore(n) }},
-	{"hybrid", func(n int) graph.Mutable { return graph.NewHybridStore(n) }},
 	{"tango", func(n int) graph.Mutable { return graph.NewTangoStore(n) }},
 }
 
@@ -75,13 +71,6 @@ func RunStoreCompare(quick bool) (TrajectoryResult, error) {
 			}
 			res.Entries = append(res.Entries, entry)
 		}
-		entry, err := trajBest(spec.Kind.String(), storeCmpEngine, "adaptive", func() (TrajectoryEntry, error) {
-			return storeRunAdaptive(spec)
-		})
-		if err != nil {
-			return res, err
-		}
-		res.Entries = append(res.Entries, entry)
 	}
 	return res, nil
 }
@@ -95,26 +84,6 @@ func storeRunMutable(spec gen.AdvSpec, mk func(n int) graph.Mutable) (Trajectory
 	for _, b := range batchList {
 		start := time.Now()
 		update.ApplyMutable(st, b)
-		updateNs += time.Since(start).Nanoseconds()
-		edges += int64(len(b.Edges))
-	}
-	return trajEntry(edges, 0, updateNs, 0), nil
-}
-
-// storeRunAdaptive times the adaptive store with its migration
-// controller live, so any representation switches the stream provokes
-// — copy steps, dual writes — are charged to the update phase. The
-// profile pass itself runs off the clock: in deployment the pipeline
-// derives it from telemetry it already collects (see
-// pipeline.Config.Shadow), so it is not a store cost.
-func storeRunAdaptive(spec gen.AdvSpec) (TrajectoryEntry, error) {
-	batchList := spec.Generate()
-	st := graph.NewAdaptiveStore(graph.KindAdjacency, spec.Vertices, graph.AdaptiveOptions{})
-	var edges, updateNs int64
-	for _, b := range batchList {
-		p := graph.ProfileBatch(b, graph.DefaultProfileLambda)
-		start := time.Now()
-		st.ApplyBatchObserved(b, p, nil)
 		updateNs += time.Since(start).Nanoseconds()
 		edges += int64(len(b.Edges))
 	}

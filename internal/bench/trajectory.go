@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -112,7 +113,6 @@ var trajMutableStores = []struct {
 	mk    func(n int) graph.Mutable
 }{
 	{"dah", func(n int) graph.Mutable { return graph.NewDAHStore(n) }},
-	{"hybrid", func(n int) graph.Mutable { return graph.NewHybridStore(n) }},
 }
 
 // RunTrajectory measures the full matrix. A non-nil error marks a
@@ -308,7 +308,9 @@ const trajNoiseFloorNs = 2_000_000
 // under the noise floor in both runs are skipped. Returns one message
 // per regression (empty = pass) and an error when the runs are not
 // comparable — schema mismatch, or a cell/phase present on one side
-// only, so the gate cannot silently narrow.
+// only, so the gate cannot silently narrow. A phase missing from one
+// side is tolerated only when the side that has it measured it under
+// the noise floor.
 func CompareTrajectory(cur, base TrajectoryResult, tolerance float64) ([]string, error) {
 	if cur.SchemaVersion != base.SchemaVersion {
 		return nil, fmt.Errorf("schema mismatch: run v%d vs baseline v%d; regenerate the baseline with -experiment-write-baseline",
@@ -318,7 +320,11 @@ func CompareTrajectory(cur, base TrajectoryResult, tolerance float64) ([]string,
 	for _, e := range base.Entries {
 		baseBy[e.Key()] = e
 	}
-	var regressions, missing []string
+	curBy := make(map[string]TrajectoryEntry, len(cur.Entries))
+	for _, e := range cur.Entries {
+		curBy[e.Key()] = e
+	}
+	var regressions, missing, dropped []string
 	for _, e := range cur.Entries {
 		b, ok := baseBy[e.Key()]
 		if !ok {
@@ -344,10 +350,27 @@ func CompareTrajectory(cur, base TrajectoryResult, tolerance float64) ([]string,
 			}
 		}
 	}
+	for _, b := range base.Entries {
+		e, ok := curBy[b.Key()]
+		if !ok {
+			dropped = append(dropped, b.Key())
+			continue
+		}
+		for phase, bp := range b.Phases {
+			if _, ok := e.Phases[phase]; !ok && bp.Ns >= trajNoiseFloorNs {
+				dropped = append(dropped, b.Key()+":"+phase)
+			}
+		}
+	}
 	sort.Strings(regressions)
 	sort.Strings(missing)
+	sort.Strings(dropped)
+	var errs []error
 	if len(missing) > 0 {
-		return regressions, fmt.Errorf("baseline has no entry for %v; regenerate it with -experiment-write-baseline", missing)
+		errs = append(errs, fmt.Errorf("baseline has no entry for %v; regenerate it with -experiment-write-baseline", missing))
 	}
-	return regressions, nil
+	if len(dropped) > 0 {
+		errs = append(errs, fmt.Errorf("run has no entry for baseline %v; remove them from the baseline only if the cells were deleted on purpose", dropped))
+	}
+	return regressions, errors.Join(errs...)
 }

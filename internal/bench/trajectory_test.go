@@ -91,6 +91,36 @@ func TestCompareTrajectoryMissingEntry(t *testing.T) {
 	}
 }
 
+// TestCompareTrajectoryDroppedEntry: a baseline cell or above-floor
+// phase the run no longer measures errors, so deleting a cell cannot
+// narrow the gate unseen.
+func TestCompareTrajectoryDroppedEntry(t *testing.T) {
+	base := trajResult(map[string]TrajectoryPhase{PhaseUpdate: trajPhase(100)})
+	gone := base.Entries[0]
+	gone.Store = "retired"
+	base.Entries = append(base.Entries, gone)
+	cur := trajResult(map[string]TrajectoryPhase{PhaseUpdate: trajPhase(100)})
+	_, err := CompareTrajectory(cur, base, 0.20)
+	if err == nil || !strings.Contains(err.Error(), "run has no entry") || !strings.Contains(err.Error(), "skewed/abr+usc/retired") {
+		t.Fatalf("baseline cell missing from the run must error, got %v", err)
+	}
+
+	base = trajResult(map[string]TrajectoryPhase{
+		PhaseUpdate:  trajPhase(100),
+		PhaseCompute: trajPhase(50), // above floor, absent from the run
+	})
+	_, err = CompareTrajectory(cur, base, 0.20)
+	if err == nil || !strings.Contains(err.Error(), "run has no entry") || !strings.Contains(err.Error(), PhaseCompute) {
+		t.Fatalf("baseline phase missing from the run must error, got %v", err)
+	}
+
+	// A sub-floor baseline phase the run lacks carries no signal.
+	base.Entries[0].Phases[PhaseCompute] = TrajectoryPhase{Ns: 10, NsPerEdge: 0.1}
+	if _, err := CompareTrajectory(cur, base, 0.20); err != nil {
+		t.Fatalf("sub-floor baseline-only phase should not error: %v", err)
+	}
+}
+
 func TestCompareTrajectoryMissingPhase(t *testing.T) {
 	base := trajResult(map[string]TrajectoryPhase{PhaseUpdate: trajPhase(100)})
 	cur := trajResult(map[string]TrajectoryPhase{

@@ -1,17 +1,13 @@
 package graph
 
-// DefaultProfileLambda is the high-degree cutoff used by ProfileBatch's
-// CAD computation when no external profile is supplied. It matches the
-// ABR controller's tuned λ (abr.Params) so self-profiled and
-// pipeline-fed profiles are on the same scale.
+// DefaultProfileLambda is the default high-degree cutoff for
+// ProfileBatch's CAD computation. It matches the ABR controller's tuned
+// λ (abr.Params), so a profile's CAD is on ABR's scale.
 const DefaultProfileLambda = 256
 
-// InputProfile is one batch's observed input-knowledge summary, the
-// signal the store migration controller steers on. The pipeline fills
-// it from ABR telemetry (internal/abr CAD_λ, run-shape skew, delete
-// counts); standalone users call ProfileBatch. Fields set to a negative
-// value mean "not measured this batch" and leave the controller's
-// running estimates untouched.
+// InputProfile is one batch's observed input-knowledge summary,
+// computed by ProfileBatch. The shard repartitioner (internal/shard)
+// steers on its degree skew.
 //
 // InputProfile values are immutable once constructed: they are passed
 // by value and never updated in place.

@@ -411,14 +411,11 @@ func (s *TangoStore) HasEdge(src, dst VertexID) bool {
 func (s *TangoStore) InsertEdge(e Edge) bool {
 	s.EnsureVertices(int(e.Src) + 1)
 	s.EnsureVertices(int(e.Dst) + 1)
-	sv := s.at(e.Src)
-	sv.mu.Lock()
+	sv, dv := s.at(e.Src), s.at(e.Dst)
+	lockEdge(e.Src, e.Dst, sv, dv)
 	added := sv.out.insert(e.Dst, e.Weight, &s.trans)
-	sv.mu.Unlock()
-	dv := s.at(e.Dst)
-	dv.mu.Lock()
 	dv.in.insert(e.Src, e.Weight, &s.trans)
-	dv.mu.Unlock()
+	unlockEdge(sv, dv)
 	if added {
 		s.numEdge.Add(1)
 	}
@@ -430,19 +427,41 @@ func (s *TangoStore) DeleteEdge(src, dst VertexID) bool {
 	if int(src) >= s.NumVertices() || int(dst) >= s.NumVertices() {
 		return false
 	}
-	sv := s.at(src)
-	sv.mu.Lock()
+	sv, dv := s.at(src), s.at(dst)
+	lockEdge(src, dst, sv, dv)
 	removed := sv.out.delete(dst, &s.trans)
-	sv.mu.Unlock()
-	if !removed {
-		return false
+	if removed {
+		dv.in.delete(src, &s.trans)
 	}
-	dv := s.at(dst)
-	dv.mu.Lock()
-	dv.in.delete(src, &s.trans)
-	dv.mu.Unlock()
-	s.numEdge.Add(-1)
-	return true
+	unlockEdge(sv, dv)
+	if removed {
+		s.numEdge.Add(-1)
+	}
+	return removed
+}
+
+// lockEdge locks both endpoints of src->dst, the lower vertex ID first
+// (once for a self-loop). Holding both across the out-list and in-list
+// writes keeps an insert and a delete of the same edge from
+// interleaving between the two and tearing the mirror; the fixed order
+// keeps writers on (a,b) and (b,a) from deadlocking.
+func lockEdge(src, dst VertexID, sv, dv *tangoVertex) {
+	lo, hi := sv, dv
+	if dst < src {
+		lo, hi = dv, sv
+	}
+	lo.mu.Lock()
+	if hi != lo {
+		hi.mu.Lock() //sglint:ignore lockorder lo is the lower vertex ID, so nesting is in ascending order
+	}
+}
+
+// unlockEdge releases the locks lockEdge took.
+func unlockEdge(sv, dv *tangoVertex) {
+	sv.mu.Unlock()
+	if dv != sv {
+		dv.mu.Unlock()
+	}
 }
 
 // Census classifies every vertex by its out-adjacency representation.

@@ -10,9 +10,9 @@ import (
 // GuardField enforces annotated lock/field associations, in the style
 // of Clang's thread-safety attributes:
 //
-//	type AdaptiveStore struct {
-//		mu  sync.RWMutex
-//		cur Mutable //sglint:guard mu
+//	type Router struct {
+//		mu    sync.Mutex
+//		moves int //sglint:guard mu
 //	}
 //
 // Every access to a guarded field must happen with the named sibling
@@ -24,7 +24,7 @@ import (
 // Functions can declare a lock precondition instead of acquiring:
 //
 //	//sglint:locked mu
-//	func (a *AdaptiveStore) insertLocked(e Edge) { ... }
+//	func (r *Router) countMoveLocked() { ... }
 //
 // The body is then checked as if the receiver's mutex were held (read
 // side), and every call site must actually hold it.

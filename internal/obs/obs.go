@@ -63,13 +63,6 @@ type Observer struct {
 	ABRMispredictTotal *Counter
 	ABRRegretNs        *Counter
 
-	// Adaptive-store migration instrumentation (fed by
-	// internal/graph's AdaptiveStore): completed representation
-	// switches, incremental copy steps, and accumulated copy time.
-	StoreMigrationsTotal     *Counter
-	StoreMigrationStepsTotal *Counter
-	StoreMigrateNs           *Counter
-
 	// Robustness instrumentation: recovered per-batch panics and
 	// load-shed ladder activity (fed by internal/pipeline).
 	PanicsTotal            *Counter
@@ -152,13 +145,6 @@ func New(o Options) *Observer {
 		"Batches executed in the reordered (RO / RO+USC) mode.")
 	obs.HAUTotal = reg.NewCounter("streamgraph_pipeline_hau_batches_total",
 		"Batches executed on the (simulated) hardware update engine.")
-
-	obs.StoreMigrationsTotal = reg.NewCounter("streamgraph_store_migrations_total",
-		"Completed live store representation migrations.")
-	obs.StoreMigrationStepsTotal = reg.NewCounter("streamgraph_store_migration_steps_total",
-		"Incremental migration copy steps executed.")
-	obs.StoreMigrateNs = reg.NewCounter("streamgraph_store_migrate_ns_total",
-		"Accumulated migration copy time in nanoseconds.")
 
 	obs.PanicsTotal = reg.NewCounter("streamgraph_pipeline_panics_total",
 		"Per-batch panics recovered by the pipeline's isolation boundary.")

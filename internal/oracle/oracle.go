@@ -4,7 +4,7 @@
 // and a harness that replays one batch stream through every update
 // engine × store combination — the edge-parallel locked baseline, the
 // reordered engine with and without USC, the sequential Mutable path,
-// the adjacency-list, DAH and hybrid stores, and the adaptive
+// the adjacency-list, DAH, tango and epoch stores, and the adaptive
 // pipeline — asserting full-graph equivalence (edge sets, weights,
 // degrees, in/out mirroring, per-vertex latest_bid) and
 // compute-result equivalence after each batch.

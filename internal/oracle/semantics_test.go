@@ -16,8 +16,8 @@ type edgeState struct {
 // semantics every store and engine must share, on explicit
 // insert-then-delete-then-reinsert sequences within one batch and
 // across batches. Each case runs through the full engine × store
-// matrix (baseline, reordered, RO+USC, Mutable over adjacency, DAH
-// and hybrid, and the adaptive pipeline) and every final state must
+// matrix (baseline, reordered, RO+USC, Mutable over adjacency, DAH,
+// tango and epoch, and the adaptive pipeline) and every final state must
 // equal the expected edge list exactly.
 func TestDeleteDuplicateSemantics(t *testing.T) {
 	cases := []struct {

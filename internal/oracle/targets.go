@@ -91,25 +91,6 @@ func MutableTarget(name string, st graph.Mutable) *Target {
 	}
 }
 
-// HybridTarget replays batches through a hybrid (archive+delta)
-// store, compacting every compactEvery batches so the archive path,
-// tombstones and delta all get exercised.
-func HybridTarget(name string, numVerts, compactEvery int) *Target {
-	st := graph.NewHybridStore(numVerts)
-	applied := 0
-	return &Target{
-		Name: name,
-		Apply: func(b *graph.Batch) {
-			update.ApplyMutable(st, b)
-			applied++
-			if compactEvery > 0 && applied%compactEvery == 0 {
-				st.Compact()
-			}
-		},
-		Store: func() graph.Store { return st },
-	}
-}
-
 // PipelineTarget runs batches through a full pipeline Runner. The
 // config's Compute should be nil in differential runs — the harness
 // drives compute equivalence itself, with one engine instance per
@@ -165,53 +146,17 @@ func FaultedPipelineTarget(name string, cfg pipeline.Config, numVerts int, press
 	}
 }
 
-// AdaptiveTarget replays batches through an AdaptiveStore with a
-// deterministic migration schedule (the EWMA controller is disabled so
-// differential runs do not depend on stream statistics): a migration to
-// the next kind in the adjacency → tango → dah → adjacency cycle begins
-// every cadence batches, and each Apply advances the in-flight copy by
-// roughly a quarter of the vertex space, so migrations stay in flight
-// across batch boundaries and dual-writes land on both sides of the
-// frontier. The store pointer is returned so tests can assert that
-// representation switches actually happened.
-func AdaptiveTarget(name string, numVerts, cadence int) (*Target, *graph.AdaptiveStore) {
-	st := graph.NewAdaptiveStore(graph.KindAdjacency, numVerts, graph.AdaptiveOptions{
-		Policy: graph.MigrationPolicy{Disabled: true},
-	})
-	cycle := []graph.StoreKind{graph.KindTango, graph.KindDAH, graph.KindAdjacency}
-	step := numVerts/4 + 1
-	applied, next := 0, 0
-	t := &Target{
-		Name: name,
-		Apply: func(b *graph.Batch) {
-			st.ApplyBatch(b)
-			applied++
-			if _, inFlight := st.Migrating(); inFlight {
-				st.MigrateStep(step)
-			} else if cadence > 0 && applied%cadence == 0 {
-				st.BeginMigration(cycle[next%len(cycle)])
-				next++
-				st.MigrateStep(step)
-			}
-		},
-		Store: func() graph.Store { return st },
-	}
-	return t, st
-}
-
 // Matrix returns fresh targets covering every engine × store
 // combination plus the adaptive pipeline paths:
 //
 //   - adjacency list × {baseline, baseline(1 worker), RO, RO+USC,
 //     RO+USC with forced coalescing, sequential Mutable};
-//   - DAH, hybrid, tango and epoch stores × sequential Mutable (the
+//   - DAH, tango and epoch stores × sequential Mutable (the
 //     batch engines are adjacency-specific by design; the Mutable
 //     path is how those stores ingest batches);
 //   - the epoch store × the lock-free epoch engine, once verified
 //     against the live store and once entirely through pinned epoch
 //     snapshots;
-//   - the adaptive store with live representation migrations in
-//     flight across batch boundaries;
 //   - pipeline × {ABR+USC adaptive, PerfectABR oracle decisions}.
 //
 // Every store is pre-sized for numVerts; streams must keep vertex IDs
@@ -220,7 +165,6 @@ func Matrix(numVerts, workers int) []*Target {
 	cfg := update.Config{Workers: workers}
 	forced := cfg
 	forced.MinCoalesceRun = 1
-	adaptive, _ := AdaptiveTarget("adaptive/migrating", numVerts, 2)
 	return []*Target{
 		EngineTarget("baseline/adjlist", &update.Baseline{Cfg: cfg}, numVerts),
 		EngineTarget("baseline-1w/adjlist", &update.Baseline{Cfg: update.Config{Workers: 1}}, numVerts),
@@ -229,12 +173,10 @@ func Matrix(numVerts, workers int) []*Target {
 		EngineTarget("ro+usc-forced/adjlist", &update.Reordered{Cfg: forced, USC: true}, numVerts),
 		MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(numVerts)),
 		MutableTarget("mutable/dah", graph.NewDAHStore(numVerts)),
-		HybridTarget("mutable/hybrid", numVerts, 3),
 		MutableTarget("mutable/tango", graph.NewTangoStore(numVerts)),
 		MutableTarget("mutable/epoch", graph.NewEpochStore(numVerts, graph.EpochOptions{Poison: true})),
 		EpochTarget("epoch/live", workers, numVerts, false),
 		EpochTarget("epoch/snapshot", workers, numVerts, true),
-		adaptive,
 		PipelineTarget("pipeline/abr+usc",
 			pipeline.Config{Policy: pipeline.ABRUSC, Workers: workers}, numVerts),
 		PipelineTarget("pipeline/perfect-abr",
@@ -249,8 +191,7 @@ func Matrix(numVerts, workers int) []*Target {
 // MatrixForStore returns the slice of the differential matrix backed
 // by the named store — the CI store-matrix job's STORE=<name> axis.
 // The adjacency axis carries every engine and pipeline path (they are
-// adjacency-specific by design); tango also carries the adaptive
-// migrating target. An empty name returns the full Matrix; an unknown
+// adjacency-specific by design). An empty name returns the full Matrix; an unknown
 // name returns nil.
 func MatrixForStore(numVerts, workers int, store string) []*Target {
 	if store == "" {
@@ -264,10 +205,8 @@ func MatrixForStore(numVerts, workers int, store string) []*Target {
 			keep = t.Name == "mutable/adjlist" || t.Adj != nil
 		case "dah":
 			keep = t.Name == "mutable/dah"
-		case "hybrid":
-			keep = t.Name == "mutable/hybrid"
 		case "tango":
-			keep = t.Name == "mutable/tango" || t.Name == "adaptive/migrating"
+			keep = t.Name == "mutable/tango"
 		case "epoch":
 			keep = t.Name == "mutable/epoch" || t.Name == "epoch/live" || t.Name == "epoch/snapshot"
 		}

@@ -178,13 +178,6 @@ type Config struct {
 	// the default crash-fast behavior so a panic is never silently
 	// converted into stale analytics.
 	Recover bool
-	// Shadow, when non-nil, is an adaptive store replica that ingests
-	// every processed batch after the primary update. Its migration
-	// controller is fed the pipeline's ABR-observed input profile
-	// (delete ratio, degree skew, CAD_λ), so the replica migrates the
-	// live graph between representations as the stream's profile
-	// drifts; its spans and decision audits land in the batch trace.
-	Shadow *graph.AdaptiveStore
 }
 
 // BatchMetrics records one processed batch.
@@ -452,18 +445,14 @@ func (r *Runner) ProcessBatch(b *graph.Batch) BatchMetrics {
 	var bm BatchMetrics
 	bm.BatchID = b.ID
 
-	delRatio := -1.0
-	if (tr != nil || r.cfg.Shadow != nil) && len(b.Edges) > 0 {
+	if tr != nil && len(b.Edges) > 0 {
 		del := 0
 		for i := range b.Edges {
 			if b.Edges[i].Delete {
 				del++
 			}
 		}
-		delRatio = float64(del) / float64(len(b.Edges))
-		if tr != nil {
-			tr.DeleteRatio = delRatio
-		}
+		tr.DeleteRatio = float64(del) / float64(len(b.Edges))
 	}
 
 	// Injected store-latency spikes and update panics fire here,
@@ -480,36 +469,11 @@ func (r *Runner) ProcessBatch(b *graph.Batch) BatchMetrics {
 
 	// Run-shape telemetry from the reordered path's destination runs
 	// (absent on baseline-engine batches).
-	skew := -1.0
-	if len(bm.Stats.DstRunLens) > 0 && len(b.Edges) > 0 {
+	if tr != nil && len(bm.Stats.DstRunLens) > 0 && len(b.Edges) > 0 {
 		mean, max := stats.RunShape(bm.Stats.DstRunLens)
-		skew = float64(max) / float64(len(b.Edges))
-		if tr != nil {
-			tr.MeanRunLen = mean
-			tr.MaxRunLen = max
-			tr.DegreeSkew = skew
-		}
-	}
-
-	// Shadow adaptive store: replay the batch into the live replica and
-	// feed its migration controller the profile this pipeline already
-	// observed — delete ratio, run-shape skew, and CAD_λ on ABR-active
-	// batches. Fields the pipeline did not measure this batch stay
-	// negative so the controller's EWMA skips them rather than decaying
-	// toward zero on baseline-engine batches.
-	if sh := r.cfg.Shadow; sh != nil {
-		cad := -1.0
-		if bm.ABRActive {
-			cad = bm.CAD
-		}
-		shadowSpan := tr.StartSpan("shadow_store")
-		sh.ApplyBatchObserved(b, graph.InputProfile{
-			Edges:       len(b.Edges),
-			DeleteRatio: delRatio,
-			DegreeSkew:  skew,
-			CAD:         cad,
-		}, tr)
-		shadowSpan.End()
+		tr.MeanRunLen = mean
+		tr.MaxRunLen = max
+		tr.DegreeSkew = float64(max) / float64(len(b.Edges))
 	}
 
 	// OCA: feed locality from this batch's counters when instrumented

@@ -337,52 +337,3 @@ func TestConcurrentComputeEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestShadowStoreTracksPipeline: a shadow adaptive store fed from the
-// pipeline must converge to the identical graph, even while it
-// migrates its representation mid-stream on the pipeline's observed
-// profile.
-func TestShadowStoreTracksPipeline(t *testing.T) {
-	batches, verts := batchesFor("fb", 1500, 6)
-	sh := graph.NewAdaptiveStore(graph.KindAdjacency, verts, graph.AdaptiveOptions{
-		// A hair-trigger policy so the stream's modest skew still
-		// forces at least one live migration during the run.
-		Policy: graph.MigrationPolicy{
-			SkewHigh: 1e-6, SkewLow: 1e-9, Dwell: 1, StepVertices: verts/8 + 1,
-		},
-	})
-	r := runPolicy(t, ABRUSC, batches, verts, func(c *Config) { c.Shadow = sh })
-	// Drain any migration still in flight so the comparison crosses the
-	// completed swap.
-	for {
-		if _, inFlight := sh.Migrating(); !inFlight {
-			break
-		}
-		sh.MigrateStep(verts)
-	}
-	if sh.Migrations() < 1 {
-		t.Fatalf("shadow never migrated: %+v", sh.Report())
-	}
-	st := r.Store()
-	if sh.NumEdges() != st.NumEdges() {
-		t.Fatalf("shadow NumEdges = %d, pipeline %d", sh.NumEdges(), st.NumEdges())
-	}
-	for v := 0; v < verts; v++ {
-		id := graph.VertexID(v)
-		want := map[graph.VertexID]graph.Weight{}
-		st.ForEachOut(id, func(n graph.Neighbor) { want[n.ID] = n.Weight })
-		got := 0
-		sh.ForEachOut(id, func(n graph.Neighbor) {
-			if w, ok := want[n.ID]; !ok || w != n.Weight {
-				t.Fatalf("vertex %d: shadow has %v, pipeline wants %v (present=%v)", v, n, w, ok)
-			}
-			got++
-		})
-		if got != len(want) {
-			t.Fatalf("vertex %d: shadow degree %d, pipeline %d", v, got, len(want))
-		}
-	}
-	if err := graph.CheckMirror(sh); err != nil {
-		t.Fatal(err)
-	}
-}

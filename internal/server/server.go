@@ -555,7 +555,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	edges, vertices := s.sys.NumEdges(), s.sys.NumVertices()
-	shadow := s.sys.ShadowReport()
 	sharded := s.sys.Sharded()
 	var shardRep streamgraph.ShardReport
 	if sharded {
@@ -574,9 +573,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 		"vertices":      vertices,
 	}
 	s.statsMu.Unlock()
-	if shadow.Kind != "" {
-		out["storeShadow"] = shadow
-	}
 	if sharded {
 		out["shards"] = shardRep
 	}

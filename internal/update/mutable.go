@@ -8,7 +8,7 @@ import "streamgraph/internal/graph"
 // existing edge updates its weight, so the last insertion of a key in
 // the batch wins), then all deletions in batch order (deleting an
 // absent edge is a no-op). It is the sequential reference path for
-// stores the batch engines do not target (DAH, hybrid) and the anchor
+// stores the batch engines do not target (DAH, tango) and the anchor
 // the differential oracle replays every engine against.
 //
 // Returns the number of edges created and removed.

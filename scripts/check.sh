@@ -13,7 +13,7 @@
 #   14 go build   15 go test -race   16 stress soak
 #   17 bench trajectory   18 baseline preflight   19 bench store
 #   20 sglint json   21 lint budget   22 bench lockfree
-#   23 epoch torture   24 shard oracle
+#   23 epoch torture   24 shard oracle   25 perfbench
 #
 # The baseline preflight (18) validates the committed BENCH_*.json
 # gate baselines (existence, JSON, schema version) BEFORE the bench
@@ -127,6 +127,16 @@ echo "== shard oracle =="
 SHARDS=2 go test -race -count=1 -run '^TestShardMatrixDifferential$' ./internal/oracle
 record "shard oracle" $? 24
 
+echo "== perfbench =="
+# The repo benchmark (perfbench/, its own Go module with a replace
+# onto this one) imports internal packages but is outside ./..., so
+# vet and test it here: a change that breaks its build fails now, not
+# when the benchmark is next run. Offline: the module has no external
+# dependencies.
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off &&
+    go vet ./... && go test -count=1 ./...)
+record perfbench $? 25
+
 echo "== baseline preflight =="
 go run ./cmd/sgbench -validate-baselines
 preflight_rc=$?
@@ -144,8 +154,8 @@ if [ "$preflight_rc" -eq 0 ]; then
     record "bench trajectory" $? 17
 
     echo "== bench store =="
-    # Store head-to-head (every fixed store plus the adaptive store
-    # under live migration), gated the same way. Refresh with
+    # Store head-to-head (adjacency, dah and tango through the shared
+    # Mutable path), gated the same way. Refresh with
     #   go run ./cmd/sgbench -store-experiment -quick \
     #       -store-write-baseline -store-out BENCH_store.json
     go run ./cmd/sgbench -store-experiment -quick -store-out BENCH_storecmp.json \

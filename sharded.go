@@ -33,9 +33,6 @@ func newShardedSystem(cfg Config, seed *graph.AdjacencyStore) *System {
 	if cfg.LockFree {
 		panic("streamgraph: Config.LockFree is incompatible with Shards > 1")
 	}
-	if cfg.ShadowStore != "" {
-		panic("streamgraph: Config.ShadowStore is incompatible with Shards > 1")
-	}
 
 	var pol pipeline.Policy
 	switch cfg.Policy {

@@ -85,9 +85,6 @@ type (
 	// ShedConfig sets the load-shed ladder's pressure thresholds; see
 	// Config.Shed.
 	ShedConfig = pipeline.ShedConfig
-	// ShadowReport describes the adaptive store replica's current
-	// state; see Config.ShadowStore and System.ShadowReport.
-	ShadowReport = graph.ShadowReport
 )
 
 // NewFaultInjector builds a fault injector from a schedule. Pass it
@@ -154,8 +151,8 @@ type Config struct {
 	// scatter/gather supersteps whose merged results match the
 	// single-node engines. A dynamic repartitioner migrates hot vertex
 	// ranges as the observed degree skew drifts. 0 or 1 means the
-	// ordinary single-pipeline system. Incompatible with LockFree and
-	// ShadowStore (New panics).
+	// ordinary single-pipeline system. Incompatible with LockFree
+	// (New panics).
 	Shards int
 	// Workers is the goroutine count; 0 means GOMAXPROCS.
 	Workers int
@@ -205,13 +202,6 @@ type Config struct {
 	// overlap. WriteSnapshot still works (it materializes an adjacency
 	// copy); Graph() reads the live store between batches.
 	LockFree bool
-	// ShadowStore, when non-empty, attaches an adaptive store replica
-	// that ingests every batch after the primary update and migrates
-	// the live graph between representations ("adjacency", "dah",
-	// "hybrid", "tango") as the stream's observed profile drifts. The
-	// value names the initial representation; New panics on unknown
-	// names. Inspect the replica with System.ShadowReport.
-	ShadowStore string
 }
 
 // Result reports one ingested batch.
@@ -246,7 +236,6 @@ type Result struct {
 type System struct {
 	cfg    Config
 	runner *pipeline.Runner
-	shadow *graph.AdaptiveStore
 	pr     *compute.PageRank
 	sssp   *compute.SSSP
 	bfs    *compute.BFS
@@ -337,30 +326,6 @@ func newSystem(cfg Config, store *graph.AdjacencyStore) *System {
 		pol = pipeline.ABRUSC
 	}
 
-	if cfg.ShadowStore != "" {
-		kind, err := graph.ParseStoreKind(cfg.ShadowStore)
-		if err != nil {
-			panic("streamgraph: Config.ShadowStore: " + err.Error())
-		}
-		shadowVerts := cfg.Vertices
-		if store != nil {
-			shadowVerts = store.NumVertices()
-		}
-		s.shadow = graph.NewAdaptiveStore(kind, shadowVerts, graph.AdaptiveOptions{
-			Obs: cfg.Observer,
-		})
-		// Seed the replica with any pre-existing state (snapshot
-		// restores); a fresh system's store is empty and this is free.
-		if store != nil {
-			for v := 0; v < store.NumVertices(); v++ {
-				src := graph.VertexID(v)
-				store.ForEachOut(src, func(n graph.Neighbor) {
-					s.shadow.InsertEdge(graph.Edge{Src: src, Dst: n.ID, Weight: n.Weight})
-				})
-			}
-		}
-	}
-
 	pcfg := pipeline.Config{
 		Policy:            pol,
 		ABRParams:         cfg.ABR,
@@ -373,7 +338,6 @@ func newSystem(cfg Config, store *graph.AdjacencyStore) *System {
 		Fault:             cfg.Fault,
 		Shed:              cfg.Shed,
 		Recover:           cfg.Recover,
-		Shadow:            s.shadow,
 	}
 	if cfg.LockFree {
 		pcfg.Epoch = true
@@ -397,16 +361,6 @@ func newSystem(cfg Config, store *graph.AdjacencyStore) *System {
 		s.runner = pipeline.NewRunnerWithStore(pcfg, store)
 	}
 	return s
-}
-
-// ShadowReport returns the adaptive replica's current state; the zero
-// report (empty Kind) when Config.ShadowStore is unset. Safe to call
-// between batches; not synchronized with an in-flight ApplyBatch.
-func (s *System) ShadowReport() ShadowReport {
-	if s.shadow == nil {
-		return ShadowReport{}
-	}
-	return s.shadow.Report()
 }
 
 // Observer returns the observability bundle the system records into

@@ -391,32 +391,3 @@ func TestLockFreeSnapshotRestore(t *testing.T) {
 		t.Fatal("post-restore batch lost on lock-free system")
 	}
 }
-
-func TestShadowStoreFacade(t *testing.T) {
-	sys := New(Config{Vertices: 64, ShadowStore: "tango"})
-	for id := 0; id < 4; id++ {
-		var edges []Edge
-		for i := 0; i < 100; i++ {
-			edges = append(edges, Edge{Src: VertexID(i % 16), Dst: VertexID((i + id) % 64), Weight: 1})
-		}
-		if _, err := sys.ApplyBatch(edges); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep := sys.ShadowReport()
-	if rep.Kind == "" {
-		t.Fatal("shadow report empty with ShadowStore set")
-	}
-	if rep.Edges != sys.NumEdges() {
-		t.Fatalf("shadow edges %d, primary %d", rep.Edges, sys.NumEdges())
-	}
-	if New(Config{Vertices: 4}).ShadowReport().Kind != "" {
-		t.Fatal("shadow report non-empty without ShadowStore")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown ShadowStore name did not panic")
-		}
-	}()
-	New(Config{Vertices: 4, ShadowStore: "csr"})
-}
