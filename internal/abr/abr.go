@@ -28,7 +28,6 @@ import (
 
 	"streamgraph/internal/graph"
 	"streamgraph/internal/obs"
-	"streamgraph/internal/reorder"
 	"streamgraph/internal/stats"
 )
 
@@ -134,25 +133,6 @@ func CAD(h *stats.Histogram, lambda int) float64 {
 // Decide applies the threshold rule to a histogram.
 func Decide(h *stats.Histogram, p Params) bool {
 	return CAD(h, p.Lambda) >= p.TH
-}
-
-// CollectReordered measures CAD_λ on a batch that is being updated in
-// the reordered mode: the per-vertex degree is simply each
-// destination run's length, so instrumentation is a single cheap walk
-// over the run boundaries (the paper reports 0.90x, i.e. ~10%
-// overhead, for this path).
-func CollectReordered(r *reorder.Reordered, lambda int) float64 {
-	edges, x := 0, 0
-	for _, run := range r.RunsByDst() {
-		if run.Len() > lambda {
-			edges += run.Len()
-			x++
-		}
-	}
-	if x == 0 {
-		return 0
-	}
-	return float64(edges) / float64(x)
 }
 
 // CADFromRuns measures CAD_λ from destination-run lengths recorded by

@@ -136,9 +136,12 @@ func TestCollectorsAgree(t *testing.T) {
 	if want == 0 {
 		t.Fatal("test batch should have a top vertex above λ")
 	}
-	r := reorder.Reorder(b, 4)
-	if got := CollectReordered(r, lambda); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("CollectReordered = %v, want %v", got, want)
+	var lens []int
+	for _, run := range reorder.Reorder(b).DstRuns {
+		lens = append(lens, run.Len())
+	}
+	if got := CADFromRuns(lens, lambda); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("CADFromRuns = %v, want %v", got, want)
 	}
 	if got := CollectConcurrent(b, lambda, 4); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("CollectConcurrent = %v, want %v", got, want)

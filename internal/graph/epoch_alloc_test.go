@@ -17,6 +17,9 @@ import (
 var epochAllocSink int64
 
 func TestEpochSnapshotReadZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	st := graph.NewEpochStore(256, graph.EpochOptions{})
 	for v := 0; v < 128; v++ {
 		for d := 1; d <= 4; d++ {

@@ -61,8 +61,9 @@ func checkView(t *testing.T, name string, in, view []graph.Edge, runs []Run, key
 	}
 }
 
-// FuzzBatchReorder feeds arbitrary batches through Reorder at several
-// worker counts (exercising the parallel chunk-sort-and-merge paths)
+// FuzzBatchReorder feeds arbitrary batches through Reorder, both into
+// a fresh value and into one warmed by a different batch (a suffix of
+// the input over a larger vertex space, chosen by the second argument),
 // and checks the reordering contract the lock-free engines rely on:
 // both views are stable sorts of the input, and the vertex runs
 // partition each view into maximal constant-key spans. Run locally:
@@ -72,16 +73,22 @@ func FuzzBatchReorder(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 2, 1, 0}, uint8(1))
 	f.Add([]byte{5, 5, 1, 5, 4, 2, 4, 5, 3, 5, 5, 16}, uint8(3))
 	f.Add([]byte{9, 0, 0, 0, 9, 1, 9, 9, 2}, uint8(8))
-	f.Fuzz(func(t *testing.T, data []byte, workersByte uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, warmByte uint8) {
 		if len(data) > 3*4096 {
 			t.Skip("cap batch length")
 		}
 		b := decodeBatch(data)
-		workers := int(workersByte%8) + 1
-		r := Reorder(b, workers)
 		bySrc := func(e graph.Edge) graph.VertexID { return e.Src }
 		byDst := func(e graph.Edge) graph.VertexID { return e.Dst }
-		checkView(t, "BySrc", b.Edges, r.BySrc, r.RunsBySrc(), bySrc)
-		checkView(t, "ByDst", b.Edges, r.ByDst, r.RunsByDst(), byDst)
+		r := Reorder(b)
+		checkView(t, "BySrc", b.Edges, r.BySrc, r.SrcRuns, bySrc)
+		checkView(t, "ByDst", b.Edges, r.ByDst, r.DstRuns, byDst)
+
+		var warm Reordered
+		prev := decodeBatch(data[int(warmByte)%(len(data)+1):])
+		warm.Reorder(prev.Edges, 32+int(warmByte))
+		warm.Reorder(b.Edges, 32)
+		checkView(t, "warm BySrc", b.Edges, warm.BySrc, warm.SrcRuns, bySrc)
+		checkView(t, "warm ByDst", b.Edges, warm.ByDst, warm.DstRuns, byDst)
 	})
 }

@@ -4,9 +4,10 @@
 // locks (Section 3.2 of the paper).
 //
 // The paper sorts with Boost's parallel stable sort and schedules with
-// OpenMP dynamic scheduling; here the sort is a parallel merge of
-// per-worker stable-sorted chunks, and the update engines consume the
-// resulting vertex runs through a dynamic work queue.
+// OpenMP dynamic scheduling. Here each view is a stable counting sort
+// over the dense vertex-ID space: O(E + V), sequential, and
+// allocation-free once a Reordered value is warm. The update engines
+// consume the resulting vertex runs through a dynamic work queue.
 //
 // Reordering produces two sorted views — by source and by destination —
 // because out-edge updates cluster by source while in-edge updates
@@ -15,17 +16,20 @@
 package reorder
 
 import (
-	"sort"
-	"sync"
+	"slices"
 
 	"streamgraph/internal/graph"
 )
 
 // Reordered is a reordered input batch: the same edges stable-sorted
-// by source and by destination.
+// by source and by destination, with the vertex runs of each view.
+// The zero value is ready to use. Reorder refills it in place and
+// keeps its buffers, so a warm value reorders without allocating; a
+// value therefore belongs to one caller at a time.
 type Reordered struct {
-	BySrc []graph.Edge
-	ByDst []graph.Edge
+	BySrc, ByDst     []graph.Edge
+	SrcRuns, DstRuns []Run
+	counts           []int32 // per-vertex offsets; all zero between calls
 }
 
 // Run is a maximal contiguous span of edges sharing one vertex key:
@@ -39,112 +43,98 @@ type Run struct {
 // Len returns the number of edges in the run.
 func (r Run) Len() int { return r.Hi - r.Lo }
 
-// Reorder produces the two sorted views of b using up to workers
-// goroutines per sort. The input batch is not modified.
-func Reorder(b *graph.Batch, workers int) *Reordered {
-	return &Reordered{
-		BySrc: parallelStableSort(b.Edges, workers, func(e graph.Edge) graph.VertexID { return e.Src }),
-		ByDst: parallelStableSort(b.Edges, workers, func(e graph.Edge) graph.VertexID { return e.Dst }),
-	}
+// Reorder returns a fresh Reordered holding the two sorted views of b
+// and their runs. The input batch is not modified.
+func Reorder(b *graph.Batch) *Reordered {
+	r := new(Reordered)
+	r.Reorder(b.Edges, int(b.MaxVertex())+1)
+	return r
 }
 
-// parallelStableSort returns a copy of edges stable-sorted by key. It
-// sorts per-worker chunks concurrently and then merges pairwise,
-// always preferring the left chunk on equal keys to preserve input
-// order.
-//
-//sglint:pool sort/merge workers join on wg.Wait within the call; a panic in a comparator must crash rather than yield a half-sorted batch
-func parallelStableSort(edges []graph.Edge, workers int, key func(graph.Edge) graph.VertexID) []graph.Edge {
-	out := make([]graph.Edge, len(edges))
-	copy(out, edges)
-	if workers < 1 {
-		workers = 1
+// Reorder refills r with the two sorted views of edges and their runs,
+// overwriting the previous batch's. Every endpoint must be below
+// numVerts. edges is not modified.
+func (r *Reordered) Reorder(edges []graph.Edge, numVerts int) {
+	if cap(r.counts) < numVerts {
+		r.counts = make([]int32, numVerts)
 	}
-	if len(out) < 2048 || workers == 1 {
-		sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-		return out
-	}
+	r.counts = r.counts[:numVerts]
+	r.BySrc = edgeBuf(r.BySrc, len(edges))
+	r.ByDst = edgeBuf(r.ByDst, len(edges))
+	nSrc := sortByKey(r.BySrc, edges, r.counts, true)
+	nDst := sortByKey(r.ByDst, edges, r.counts, false)
+	r.SrcRuns = runsOf(slices.Grow(r.SrcRuns[:0], nSrc), r.BySrc, true)
+	r.DstRuns = runsOf(slices.Grow(r.DstRuns[:0], nDst), r.ByDst, false)
+}
 
-	// Chunk boundaries.
-	n := len(out)
-	chunk := (n + workers - 1) / workers
-	var bounds []int
-	for lo := 0; lo < n; lo += chunk {
-		bounds = append(bounds, lo)
+// edgeBuf returns buf grown to n edges, preserving nothing.
+func edgeBuf(buf []graph.Edge, n int) []graph.Edge {
+	if cap(buf) < n {
+		buf = make([]graph.Edge, n)
 	}
-	bounds = append(bounds, n)
+	return buf[:n]
+}
 
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		wg.Add(1)
-		go func(s []graph.Edge) {
-			defer wg.Done()
-			sort.SliceStable(s, func(i, j int) bool { return key(s[i]) < key(s[j]) })
-		}(out[lo:hi])
-	}
-	wg.Wait()
-
-	// Pairwise merge rounds until a single sorted run remains.
-	buf := make([]graph.Edge, n)
-	for len(bounds) > 2 {
-		var next []int
-		var mg sync.WaitGroup
-		for i := 0; i+2 < len(bounds); i += 2 {
-			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+2]
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeStable(buf[lo:hi], out[lo:mid], out[mid:hi], key)
-				copy(out[lo:hi], buf[lo:hi])
-			}(lo, mid, hi)
-			next = append(next, lo)
+// sortByKey stable-counting-sorts edges into dst by source (bySrc) or
+// destination and returns the number of distinct keys, which is the
+// view's run count. counts must be all zero on entry and is all zero
+// again on return.
+func sortByKey(dst, edges []graph.Edge, counts []int32, bySrc bool) int {
+	if bySrc {
+		for i := range edges {
+			counts[edges[i].Src]++
 		}
-		if len(bounds)%2 == 0 { // odd chunk count: last chunk carries over
-			next = append(next, bounds[len(bounds)-2])
+	} else {
+		for i := range edges {
+			counts[edges[i].Dst]++
 		}
-		next = append(next, n)
-		mg.Wait()
-		bounds = next
 	}
-	return out
-}
-
-// mergeStable merges sorted a then b into dst, taking from a on ties.
-func mergeStable(dst, a, b []graph.Edge, key func(graph.Edge) graph.VertexID) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if key(b[j]) < key(a[i]) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
+	var off int32
+	keys := 0
+	for v := range counts {
+		c := counts[v]
+		if c != 0 {
+			keys++
 		}
-		k++
+		counts[v] = off
+		off += c
 	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
+	if bySrc {
+		for i := range edges {
+			v := edges[i].Src
+			dst[counts[v]] = edges[i]
+			counts[v]++
+		}
+	} else {
+		for i := range edges {
+			v := edges[i].Dst
+			dst[counts[v]] = edges[i]
+			counts[v]++
+		}
+	}
+	// The prefix sum wrote an offset into every slot, not just the
+	// touched ones, so the reset covers the whole vertex space: an O(V)
+	// memclr after an O(V) prefix sum.
+	clear(counts)
+	return keys
 }
 
-// RunsBySrc returns the vertex runs of the BySrc view.
-func (r *Reordered) RunsBySrc() []Run {
-	return runs(r.BySrc, func(e graph.Edge) graph.VertexID { return e.Src })
-}
-
-// RunsByDst returns the vertex runs of the ByDst view.
-func (r *Reordered) RunsByDst() []Run {
-	return runs(r.ByDst, func(e graph.Edge) graph.VertexID { return e.Dst })
-}
-
-func runs(edges []graph.Edge, key func(graph.Edge) graph.VertexID) []Run {
-	var out []Run
+// runsOf appends the maximal same-key runs of a sorted view to out.
+func runsOf(out []Run, edges []graph.Edge, bySrc bool) []Run {
 	lo := 0
 	for lo < len(edges) {
-		v := key(edges[lo])
 		hi := lo + 1
-		for hi < len(edges) && key(edges[hi]) == v {
-			hi++
+		var v graph.VertexID
+		if bySrc {
+			v = edges[lo].Src
+			for hi < len(edges) && edges[hi].Src == v {
+				hi++
+			}
+		} else {
+			v = edges[lo].Dst
+			for hi < len(edges) && edges[hi].Dst == v {
+				hi++
+			}
 		}
 		out = append(out, Run{V: v, Lo: lo, Hi: hi})
 		lo = hi

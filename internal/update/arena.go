@@ -1,125 +1,32 @@
 package update
 
 // BatchArena is the per-engine scratch for the epoch engine's
-// reordering: reusable buffers for the two sorted edge views, the
-// counting-sort offsets, and the vertex runs. Reordering here is a
-// stable counting sort (O(E + V) per view) instead of the comparison
-// sort internal/reorder pays: vertex IDs are dense, the offsets array
-// is reusable, and — the property the lock-free path is gated on —
-// steady-state reordering allocates nothing per edge. Buffers grow
-// geometrically on demand and are retained across batches; the arena
-// belongs to one engine and is serialized by the store's writer lock.
+// reordering: a reusable reorder.Reordered (the two sorted edge views,
+// their vertex runs and the counting-sort offsets) plus the run-length
+// buffer ABR's instrumentation reads. The stable counting sort reuses
+// its buffers, so — the property the lock-free path is gated on —
+// steady-state reordering allocates nothing per edge. Buffers grow on
+// demand and are retained across batches; the arena belongs to one
+// engine and is serialized by the store's writer lock.
 
-import (
-	"streamgraph/internal/graph"
-	"streamgraph/internal/reorder"
-)
+import "streamgraph/internal/reorder"
 
 // BatchArena holds the reusable reorder scratch. The zero value is
 // ready to use.
 type BatchArena struct {
-	bySrc, byDst []graph.Edge
-	counts       []int32
-	runsSrc      []reorder.Run
-	runsDst      []reorder.Run
-	runLens      []int
-}
-
-// edgeBuf returns buf grown to at least n edges, preserving nothing.
-func edgeBuf(buf []graph.Edge, n int) []graph.Edge {
-	if cap(buf) < n {
-		buf = make([]graph.Edge, n)
-	}
-	return buf[:n]
-}
-
-// sortByKey stable-counting-sorts edges into dst by the given
-// endpoint. counts must be all-zero on entry and is returned all-zero.
-func (a *BatchArena) sortByKey(dst, edges []graph.Edge, bySrc bool) {
-	counts := a.counts
-	if bySrc {
-		for i := range edges {
-			counts[edges[i].Src]++
-		}
-	} else {
-		for i := range edges {
-			counts[edges[i].Dst]++
-		}
-	}
-	var off int32
-	for v := range counts {
-		c := counts[v]
-		counts[v] = off
-		off += c
-	}
-	if bySrc {
-		for i := range edges {
-			v := edges[i].Src
-			dst[counts[v]] = edges[i]
-			counts[v]++
-		}
-	} else {
-		for i := range edges {
-			v := edges[i].Dst
-			dst[counts[v]] = edges[i]
-			counts[v]++
-		}
-	}
-	// The prefix-sum pass wrote a start offset into every slot, not
-	// just touched ones, so the reset must cover the whole vertex
-	// space; it is an O(V) memclr and the prefix sum already paid O(V).
-	clear(counts)
-}
-
-// runsOf appends the maximal same-key runs of the sorted view to out.
-func runsOf(out []reorder.Run, edges []graph.Edge, bySrc bool) []reorder.Run {
-	out = out[:0]
-	lo := 0
-	for lo < len(edges) {
-		v := edges[lo].Src
-		if !bySrc {
-			v = edges[lo].Dst
-		}
-		hi := lo + 1
-		if bySrc {
-			for hi < len(edges) && edges[hi].Src == v {
-				hi++
-			}
-		} else {
-			for hi < len(edges) && edges[hi].Dst == v {
-				hi++
-			}
-		}
-		out = append(out, reorder.Run{V: v, Lo: lo, Hi: hi})
-		lo = hi
-	}
-	return out
-}
-
-// Reorder builds both sorted views and their runs for a batch over a
-// vertex space of numVerts, reusing the arena's buffers.
-func (a *BatchArena) Reorder(edges []graph.Edge, numVerts int) {
-	if cap(a.counts) < numVerts {
-		a.counts = make([]int32, numVerts)
-	}
-	a.counts = a.counts[:numVerts]
-	a.bySrc = edgeBuf(a.bySrc, len(edges))
-	a.byDst = edgeBuf(a.byDst, len(edges))
-	a.sortByKey(a.bySrc, edges, true)
-	a.sortByKey(a.byDst, edges, false)
-	a.runsSrc = runsOf(a.runsSrc, a.bySrc, true)
-	a.runsDst = runsOf(a.runsDst, a.byDst, false)
+	reorder.Reordered
+	runLens []int
 }
 
 // DstRunLens fills and returns the arena's run-length buffer for the
 // destination view — ABR's reordered-path instrumentation input. The
 // returned slice aliases the arena and is valid until the next batch.
 func (a *BatchArena) DstRunLens() []int {
-	if cap(a.runLens) < len(a.runsDst) {
-		a.runLens = make([]int, len(a.runsDst))
+	if cap(a.runLens) < len(a.DstRuns) {
+		a.runLens = make([]int, len(a.DstRuns))
 	}
-	a.runLens = a.runLens[:len(a.runsDst)]
-	for i, r := range a.runsDst {
+	a.runLens = a.runLens[:len(a.DstRuns)]
+	for i, r := range a.DstRuns {
 		a.runLens[i] = r.Len()
 	}
 	return a.runLens

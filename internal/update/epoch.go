@@ -1,7 +1,8 @@
 package update
 
 // EpochEngine is the lock-free hot path's update engine: reorder the
-// batch with the arena's counting sort, apply each vertex run by
+// batch with the stable counting sort into the engine's reusable
+// arena, apply each vertex run by
 // building the vertex's next version in arena memory (graph.EpochStore
 // owns the version protocol), and publish the whole batch with one
 // epoch advance. No per-vertex locks anywhere — run partitioning gives
@@ -53,11 +54,11 @@ func (e *EpochEngine) Apply(s *graph.EpochStore, b *graph.Batch) (Stats, uint64)
 
 	updStart := time.Now()
 	var delta int64
-	delta += e.applyRuns(s, e.arena.runsSrc, e.arena.bySrc, true, bid, workers, &st)
+	delta += e.applyRuns(s, e.arena.SrcRuns, e.arena.BySrc, true, bid, workers, &st)
 	if e.Cfg.CollectDstRuns {
 		st.DstRunLens = e.arena.DstRunLens()
 	}
-	e.applyRuns(s, e.arena.runsDst, e.arena.byDst, false, bid, workers, &st)
+	e.applyRuns(s, e.arena.DstRuns, e.arena.ByDst, false, bid, workers, &st)
 	st.Update = time.Since(updStart)
 
 	epoch := s.FinishBatch(int(delta))

@@ -1,13 +1,14 @@
 package update_test
 
 // Allocation-regression gates for the lock-free ingest path. The
-// tentpole claim is zero allocations per edge end-to-end once the
-// engine is warm: the arena's counting sort reuses its buffers, the
-// store's chunk pool recycles version memory batch-over-batch (with no
-// pinned readers a batch's retired chunks are reclaimable by its own
+// claim is zero allocations per edge end-to-end once the engine is
+// warm: the arena's counting sort reuses its buffers, the store's
+// chunk pool recycles version memory batch-over-batch (with no pinned
+// readers a batch's retired chunks are reclaimable by its own
 // FinishBatch), and nothing on the per-edge path boxes, closes over,
-// or appends. These tests pin that down dynamically; sglint's
-// hotpathalloc analyzer polices the same property statically.
+// or appends. These tests pin that down dynamically (without -race,
+// whose instrumentation allocates); sglint's hotpathalloc analyzer
+// polices the same property statically.
 
 import (
 	"runtime"
@@ -36,6 +37,9 @@ func warmEpoch(workers int) (*graph.EpochStore, *update.EpochEngine, []*graph.Ba
 // ingest path must allocate nothing at all per batch once warm — not
 // zero per edge, zero, full stop.
 func TestEpochIngestZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	st, eng, batches := warmEpoch(1)
 	b := batches[len(batches)-1]
 	runtime.GC()
@@ -52,6 +56,9 @@ func TestEpochIngestZeroAlloc(t *testing.T) {
 // and amortizes to well under a hundredth of an allocation per edge;
 // the per-edge work itself still allocates nothing.
 func TestEpochIngestParallelAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	st, eng, batches := warmEpoch(4)
 	b := batches[len(batches)-1]
 	runtime.GC()

@@ -7,7 +7,7 @@ import (
 	"streamgraph/internal/reorder"
 )
 
-// Reordered is the RO update engine: it pays for two parallel stable
+// Reordered is the RO update engine: it pays for two stable counting
 // sorts of the batch (by source and by destination) and in exchange
 // applies all updates lock-free, one vertex run per thread. With USC
 // enabled it additionally coalesces each run's duplicate-check
@@ -33,23 +33,24 @@ func (e *Reordered) Apply(s *graph.AdjacencyStore, b *graph.Batch) Stats {
 	s.EnsureVertices(int(b.MaxVertex()) + 1)
 	workers := e.Cfg.workers()
 
-	r := reorder.Reorder(b, workers)
+	// A fresh Reordered per batch: callers of Apply are not guaranteed
+	// to be serialized, so the engine holds no reorder scratch.
+	r := reorder.Reorder(b)
 	st.Sort = time.Since(start)
 
 	updStart := time.Now()
 	// Pass 1: out-edges, clustered by source.
-	parallelRuns(r.RunsBySrc(), workers, &st, func(run reorder.Run, w *workerStats) {
+	parallelRuns(r.SrcRuns, workers, &st, func(run reorder.Run, w *workerStats) {
 		e.applyRun(s, r.BySrc[run.Lo:run.Hi], run.V, true, bid, w)
 	})
 	// Pass 2: in-edges, clustered by destination.
-	dstRuns := r.RunsByDst()
 	if e.Cfg.CollectDstRuns {
-		st.DstRunLens = make([]int, len(dstRuns))
-		for i, run := range dstRuns {
+		st.DstRunLens = make([]int, len(r.DstRuns))
+		for i, run := range r.DstRuns {
 			st.DstRunLens[i] = run.Len()
 		}
 	}
-	parallelRuns(dstRuns, workers, &st, func(run reorder.Run, w *workerStats) {
+	parallelRuns(r.DstRuns, workers, &st, func(run reorder.Run, w *workerStats) {
 		e.applyRun(s, r.ByDst[run.Lo:run.Hi], run.V, false, bid, w)
 	})
 	st.Update = time.Since(updStart)

@@ -4,7 +4,7 @@
 //   - Baseline: edge-parallel ingestion with per-vertex locks and a
 //     linear duplicate-check search per edge (Section 3.2's baseline).
 //   - Reordered (RO): lock-free vertex-centric ingestion over a batch
-//     reordered by internal/reorder; pays two parallel stable sorts
+//     reordered by internal/reorder; pays two stable counting sorts
 //     and two update passes (out-edges by source, in-edges by
 //     destination).
 //   - Reordered+USC: RO plus update search coalescing — one scan of a

@@ -14,6 +14,7 @@
 #   17 bench trajectory   18 baseline preflight   19 bench store
 #   20 sglint json   21 lint budget   22 bench lockfree
 #   23 epoch torture   24 shard oracle   25 perfbench
+#   26 alloc gates
 #
 # The baseline preflight (18) validates the committed BENCH_*.json
 # gate baselines (existence, JSON, schema version) BEFORE the bench
@@ -103,6 +104,12 @@ echo "== go test -race =="
 # verifies nothing about the current build environment.
 go test -race -count=1 ./...
 record "go test -race" $? 15
+
+echo "== alloc gates =="
+# The AllocsPerRun gates skip under -race (its instrumentation
+# allocates), so run them again without it.
+go test -count=1 -run 'Alloc' ./...
+record "alloc gates" $? 26
 
 echo "== stress soak =="
 # The full-length fault-injected concurrency soak (the plain test run
